@@ -11,24 +11,43 @@
 
 open Cmdliner
 
-let arch_names = [ "st"; "st6"; "stml"; "plaid"; "plaid3"; "plaidml"; "spatial" ]
+(* Uniform bad-input handling: every unknown subcommand, architecture,
+   kernel, mapper or experiment name and every unusable input file prints
+   one line to stderr and exits 2. *)
+let die fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "plaidc: %s\n" msg;
+      exit 2)
+    fmt
 
-(* Uniform bad-name handling: every unknown subcommand, architecture, mapper
-   or experiment name prints the valid choices to stderr and exits 2. *)
-let die_unknown ~what name choices : 'a =
-  Printf.eprintf "plaidc: unknown %s '%s' (choose from %s)\n" what name
-    (String.concat ", " choices);
-  exit 2
+let die_unknown ~what name choices =
+  die "unknown %s '%s' (choose from %s)" what name (String.concat ", " choices)
 
-let fabric_of_name ctx = function
-  | "st" -> Some (Plaid_exp.Ctx.st ctx)
-  | "st6" -> Some (Plaid_exp.Ctx.st6 ctx)
-  | "stml" -> Some (Plaid_exp.Ctx.st_ml ctx)
-  | "plaid" -> Some (Plaid_exp.Ctx.plaid2 ctx).Plaid_core.Pcu.arch
-  | "plaid3" -> Some (Plaid_exp.Ctx.plaid3 ctx).Plaid_core.Pcu.arch
-  | "plaidml" -> Some (Plaid_exp.Ctx.plaid_ml ctx).Plaid_core.Pcu.arch
-  | "spatial" -> Some (Plaid_spatial.Spatial.arch ())
-  | _ -> None
+let find_kernel name =
+  match Plaid_workloads.Suite.find name with
+  | entry -> entry
+  | exception Not_found -> die "unknown kernel '%s' (try 'plaidc list')" name
+
+(* The registry's fabrics, plus the spatial baseline, which only the CLI
+   offers: it maps a kernel as a sequence of partitions, not as one
+   mapping. *)
+let arch_names = Plaid_core.Fabrics.names @ [ "spatial" ]
+
+(* -a: a registry name, or @FILE for an architecture description. *)
+let fabric_of_arg ?(choices = arch_names) arch =
+  if String.length arch > 0 && arch.[0] = '@' then
+    match Plaid_core.Fabrics.of_file (String.sub arch 1 (String.length arch - 1)) with
+    | Ok b -> b
+    | Error e -> die "%s" e
+  else
+    match Plaid_core.Fabrics.build arch with
+    | Some b -> b
+    | None -> die_unknown ~what:"architecture" arch choices
+
+let arch_of_arg = function
+  | "spatial" -> Plaid_spatial.Spatial.arch ()
+  | arch -> (fabric_of_arg arch).Plaid_core.Fabrics.arch
 
 let list_cmd =
   let run () : int =
@@ -56,7 +75,10 @@ let kernel_arg =
   Arg.(required & opt (some string) None & info [ "k"; "kernel" ] ~docv:"KERNEL" ~doc)
 
 let arch_arg =
-  let doc = Printf.sprintf "Target architecture: %s." (String.concat ", " arch_names) in
+  let doc =
+    Printf.sprintf "Target architecture: %s, or @FILE for an architecture description."
+      (String.concat ", " arch_names)
+  in
   Arg.(value & opt string "plaid" & info [ "a"; "arch" ] ~docv:"ARCH" ~doc)
 
 let seed_arg =
@@ -69,11 +91,8 @@ let jobs_arg =
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-(* Bad numeric arguments follow the same contract as bad names: say what
-   was expected on stderr and exit 2. *)
-let die_bad_arg ~what n ~expected : 'a =
-  Printf.eprintf "plaidc: invalid %s %d (expected %s)\n" what n expected;
-  exit 2
+(* Bad numeric arguments follow the same contract as bad names. *)
+let die_bad_arg ~what n ~expected = die "invalid %s %d (expected %s)" what n expected
 
 (* Every subcommand resolves -j the same way: explicit value, else the
    domain count the runtime recommends for this machine. *)
@@ -141,18 +160,6 @@ let report_mapping ctx name (m : Plaid_mapping.Mapping.t) =
     (Plaid_exp.Ctx.energy ctx m)
     (Plaid_model.Area.fabric_total m.arch)
 
-let resolve_arch name =
-  let ctx = Plaid_exp.Ctx.create () in
-  match name with
-  | "st_4x4" -> Some (Plaid_exp.Ctx.st ctx)
-  | "st_6x6" -> Some (Plaid_exp.Ctx.st6 ctx)
-  | "st_ml_4x4" -> Some (Plaid_exp.Ctx.st_ml ctx)
-  | "plaid_2x2" -> Some (Plaid_exp.Ctx.plaid2 ctx).Plaid_core.Pcu.arch
-  | "plaid_3x3" -> Some (Plaid_exp.Ctx.plaid3 ctx).Plaid_core.Pcu.arch
-  | "plaid_ml_2x2" -> Some (Plaid_exp.Ctx.plaid_ml ctx).Plaid_core.Pcu.arch
-  | "spatial4x4" -> Some (Plaid_spatial.Spatial.arch ())
-  | _ -> None
-
 (* The post-mapping diagnostic behind `plaidc map --report`: II-search
    timeline, per-phase time breakdown, and congestion/occupancy heatmaps.
    The notice goes to stderr so the mapping report on stdout stays
@@ -202,105 +209,58 @@ let map_cmd =
       | None -> ()
       | Some path -> write_report ?mapping ~kernel ~seed ~arch:rarch path
     in
-    match Plaid_workloads.Suite.find kernel with
-    | exception Not_found ->
-      Printf.eprintf "unknown kernel %s; try 'plaidc list'\n" kernel;
-      1
-    | entry ->
-      with_jobs jobs @@ fun pool ->
-      let ctx = Plaid_exp.Ctx.create ~seed ~pool () in
-      if String.length arch > 0 && arch.[0] = '@' then begin
-        (* architecture from an ADL file *)
-        match Plaid_core.Fabrics.of_file (String.sub arch 1 (String.length arch - 1)) with
-        | Error e ->
-          Printf.eprintf "%s\n" e;
-          1
-        | Ok built -> (
-          let dfg = Plaid_workloads.Suite.dfg entry in
-          let mapping =
-            match built.Plaid_core.Fabrics.pcu with
-            | Some pcu ->
-              (Plaid_core.Hier_mapper.map ~plaid:pcu ~seed dfg).Plaid_core.Hier_mapper.mapping
-            | None ->
-              (Plaid_mapping.Driver.best_of ~pool
-                 ~algos:
-                   [ Plaid_mapping.Driver.Pf Plaid_mapping.Pathfinder.default;
-                     Plaid_mapping.Driver.Sa Plaid_mapping.Anneal.default ]
-                 ~arch:built.Plaid_core.Fabrics.arch ~dfg ~seed ())
-                .Plaid_mapping.Driver.mapping
-          in
-          maybe_report ?mapping built.Plaid_core.Fabrics.arch;
-          match mapping with
-          | None ->
-            Printf.eprintf "mapper found no valid mapping\n";
-            1
-          | Some m ->
-            report_mapping ctx kernel m;
-            0)
-      end
-      else
-      match arch with
-      | "spatial" -> (
-        match Plaid_exp.Ctx.spatial ctx entry with
-        | Error e ->
-          maybe_report (Plaid_spatial.Spatial.arch ());
-          Printf.eprintf "spatial mapping failed: %s\n" e;
-          1
-        | Ok r ->
-          maybe_report (Plaid_spatial.Spatial.arch ());
-          Printf.printf "%s on spatial 4x4: %d segments, cycles=%d, energy=%.1f pJ\n" kernel
-            (List.length r.mappings)
-            (Plaid_exp.Ctx.spatial_cycles ctx r)
-            (Plaid_exp.Ctx.spatial_energy ctx r);
-          0)
-      | _ -> (
-        let mapping =
-          match arch with
-          | "st" -> Plaid_exp.Ctx.map_st ctx entry
-          | "st6" -> Plaid_exp.Ctx.map_st6 ctx entry
-          | "stml" -> Plaid_exp.Ctx.map_st_ml ctx entry
-          | "plaid" -> (Plaid_exp.Ctx.map_plaid ctx entry).Plaid_core.Hier_mapper.mapping
-          | "plaid3" -> (Plaid_exp.Ctx.map_plaid3 ctx entry).Plaid_core.Hier_mapper.mapping
-          | "plaidml" -> (Plaid_exp.Ctx.map_plaid_ml ctx entry).Plaid_core.Hier_mapper.mapping
-          | other -> die_unknown ~what:"architecture" other arch_names
+    let entry = find_kernel kernel in
+    let fabric = if arch = "spatial" then None else Some (fabric_of_arg arch) in
+    with_jobs jobs @@ fun pool ->
+    let ctx = Plaid_exp.Ctx.create ~seed ~pool () in
+    match fabric with
+    | None -> (
+      let result = Plaid_exp.Ctx.spatial ctx entry in
+      maybe_report (Plaid_spatial.Spatial.arch ());
+      match result with
+      | Error e ->
+        Printf.eprintf "spatial mapping failed: %s\n" e;
+        1
+      | Ok r ->
+        Printf.printf "%s on spatial 4x4: %d segments, cycles=%d, energy=%.1f pJ\n" kernel
+          (List.length r.mappings)
+          (Plaid_exp.Ctx.spatial_cycles ctx r)
+          (Plaid_exp.Ctx.spatial_energy ctx r);
+        0)
+    | Some b -> (
+      let mapping = Plaid_core.Fabrics.map ~pool ~seed b (Plaid_workloads.Suite.dfg entry) in
+      maybe_report ?mapping b.Plaid_core.Fabrics.arch;
+      match mapping with
+      | None ->
+        Printf.eprintf "mapper found no valid mapping\n";
+        1
+      | Some m ->
+        report_mapping ctx kernel m;
+        (* verify against the golden reference while we're here *)
+        let k =
+          Plaid_ir.Unroll.apply entry.Plaid_workloads.Suite.base
+            entry.Plaid_workloads.Suite.unroll
         in
-        (match mapping with
-        | Some m -> maybe_report ~mapping:m m.Plaid_mapping.Mapping.arch
-        | None -> (
-          match fabric_of_name ctx arch with
-          | Some a -> maybe_report a
-          | None -> ()));
-        match mapping with
-        | None ->
-          Printf.eprintf "mapper found no valid mapping\n";
-          1
-        | Some m ->
-          report_mapping ctx kernel m;
-          (* verify against the golden reference while we're here *)
-          let k =
-            Plaid_ir.Unroll.apply entry.Plaid_workloads.Suite.base
-              entry.Plaid_workloads.Suite.unroll
-          in
-          let spm =
-            Plaid_sim.Spm.of_kernel k ~params:(Plaid_workloads.Suite.params entry) ~seed:77
-          in
-          let sim_ok =
-            match Plaid_sim.Cycle_sim.verify m spm with
-            | Ok stats ->
-              Printf.printf "simulation: bit-exact vs reference (%d firings, %d wire hops)\n"
-                stats.fu_firings stats.wire_hops;
-              true
-            | Error msg ->
-              Printf.eprintf "simulation MISMATCH: %s\n" msg;
-              false
-          in
-          if viz then Format.printf "%a@." Plaid_mapping.Viz.pp m;
-          (match out with
-          | None -> ()
-          | Some path ->
-            Plaid_mapping.Mapfile.save m ~path;
-            Printf.printf "saved %s\n" path);
-          if sim_ok then 0 else 1)
+        let spm =
+          Plaid_sim.Spm.of_kernel k ~params:(Plaid_workloads.Suite.params entry) ~seed:77
+        in
+        let sim_ok =
+          match Plaid_sim.Cycle_sim.verify m spm with
+          | Ok stats ->
+            Printf.printf "simulation: bit-exact vs reference (%d firings, %d wire hops)\n"
+              stats.fu_firings stats.wire_hops;
+            true
+          | Error msg ->
+            Printf.eprintf "simulation MISMATCH: %s\n" msg;
+            false
+        in
+        if viz then Format.printf "%a@." Plaid_mapping.Viz.pp m;
+        (match out with
+        | None -> ()
+        | Some path ->
+          Plaid_mapping.Mapfile.save m ~path;
+          Printf.printf "saved %s\n" path);
+        if sim_ok then 0 else 1)
   in
   Cmd.v
     (Cmd.info "map" ~doc:"Map one kernel onto an architecture and verify it")
@@ -327,7 +287,8 @@ let run_cmd =
   let run file no_validate trace metrics =
     with_obs ~trace ~metrics @@ fun () ->
     match
-      Plaid_mapping.Mapfile.load ~validate:(not no_validate) ~resolve:resolve_arch ~path:file
+      Plaid_mapping.Mapfile.load ~validate:(not no_validate) ~resolve:Plaid_core.Fabrics.resolve
+        ~path:file
     with
     | Error e ->
       (* unreadable, truncated, or corrupt input: one line, uniform exit 2 *)
@@ -374,38 +335,34 @@ let motifs_cmd =
     Arg.(value & opt (some string) None & info [ "o" ] ~docv:"FILE" ~doc:"Write DOT here.")
   in
   let run kernel out =
-    match Plaid_workloads.Suite.find kernel with
-    | exception Not_found ->
-      Printf.eprintf "unknown kernel %s\n" kernel;
-      1
-    | entry ->
-      let g = Plaid_workloads.Suite.dfg entry in
-      let hier = Plaid_core.Motif_gen.generate ~rng:(Plaid_util.Rng.create 11) g in
-      Printf.printf "%s: %d motifs, %d/%d compute nodes covered\n" kernel
-        (Array.length hier.Plaid_core.Motif_gen.motifs)
-        (Plaid_core.Motif_gen.covered_compute g hier)
-        (Plaid_ir.Dfg.n_compute g);
-      Array.iteri
-        (fun i m ->
-          Printf.printf "  motif %d: %s (%s)\n" i
-            (Plaid_core.Motif.kind_to_string m.Plaid_core.Motif.kind)
-            (String.concat ", "
-               (List.map
-                  (fun v -> (Plaid_ir.Dfg.node g v).label)
-                  (Plaid_core.Motif.nodes m))))
-        hier.Plaid_core.Motif_gen.motifs;
-      (match out with
-      | None -> ()
-      | Some path ->
-        let clusters =
-          Array.to_list hier.Plaid_core.Motif_gen.motifs
-          |> List.mapi (fun i m ->
-                 ( Printf.sprintf "%s %d" (Plaid_core.Motif.kind_to_string m.Plaid_core.Motif.kind) i,
-                   Plaid_core.Motif.nodes m ))
-        in
-        Plaid_ir.Dot.write_file path (Plaid_ir.Dot.to_dot ~clusters g);
-        Printf.printf "wrote %s\n" path);
-      0
+    let entry = find_kernel kernel in
+    let g = Plaid_workloads.Suite.dfg entry in
+    let hier = Plaid_core.Motif_gen.generate ~rng:(Plaid_util.Rng.create 11) g in
+    Printf.printf "%s: %d motifs, %d/%d compute nodes covered\n" kernel
+      (Array.length hier.Plaid_core.Motif_gen.motifs)
+      (Plaid_core.Motif_gen.covered_compute g hier)
+      (Plaid_ir.Dfg.n_compute g);
+    Array.iteri
+      (fun i m ->
+        Printf.printf "  motif %d: %s (%s)\n" i
+          (Plaid_core.Motif.kind_to_string m.Plaid_core.Motif.kind)
+          (String.concat ", "
+             (List.map
+                (fun v -> (Plaid_ir.Dfg.node g v).label)
+                (Plaid_core.Motif.nodes m))))
+      hier.Plaid_core.Motif_gen.motifs;
+    (match out with
+    | None -> ()
+    | Some path ->
+      let clusters =
+        Array.to_list hier.Plaid_core.Motif_gen.motifs
+        |> List.mapi (fun i m ->
+               ( Printf.sprintf "%s %d" (Plaid_core.Motif.kind_to_string m.Plaid_core.Motif.kind) i,
+                 Plaid_core.Motif.nodes m ))
+      in
+      Plaid_ir.Dot.write_file path (Plaid_ir.Dot.to_dot ~clusters g);
+      Printf.printf "wrote %s\n" path);
+    0
   in
   Cmd.v
     (Cmd.info "motifs" ~doc:"Run motif generation (Algorithm 1) on a kernel")
@@ -428,6 +385,7 @@ let compile_cmd =
       & info [ "p"; "param" ] ~docv:"NAME=VALUE" ~doc:"Live-in parameter value (repeatable).")
   in
   let run file arch seed show_config param_values jobs trace metrics =
+    let fabric = fabric_of_arg ~choices:Plaid_core.Fabrics.names arch in
     with_obs ~trace ~metrics @@ fun () ->
     match Plaid_ir.Parse.kernel_of_file file with
     | exception Sys_error msg ->
@@ -444,20 +402,7 @@ let compile_cmd =
       Format.printf "optimizer: %a@." Plaid_ir.Opt.pp_stats opt_stats;
       with_jobs jobs @@ fun pool ->
       let ctx = Plaid_exp.Ctx.create ~seed ~pool () in
-      let mapping =
-        match arch with
-        | "plaid" ->
-          (Plaid_core.Hier_mapper.map ~plaid:(Plaid_exp.Ctx.plaid2 ctx) ~seed dfg)
-            .Plaid_core.Hier_mapper.mapping
-        | "st" ->
-          (Plaid_mapping.Driver.best_of ~pool
-             ~algos:
-               [ Plaid_mapping.Driver.Pf Plaid_mapping.Pathfinder.default;
-                 Plaid_mapping.Driver.Sa Plaid_mapping.Anneal.default ]
-             ~arch:(Plaid_exp.Ctx.st ctx) ~dfg ~seed ())
-            .Plaid_mapping.Driver.mapping
-        | other -> die_unknown ~what:"mapper" other [ "plaid"; "st" ]
-      in
+      let mapping = Plaid_core.Fabrics.map ~pool ~seed fabric dfg in
       match mapping with
       | None ->
         Printf.eprintf "mapper found no valid mapping\n";
@@ -498,12 +443,7 @@ let rtl_cmd =
     Arg.(value & opt (some string) None & info [ "o" ] ~docv:"FILE" ~doc:"Write Verilog here.")
   in
   let run arch out =
-    let ctx = Plaid_exp.Ctx.create () in
-    let a =
-      match fabric_of_name ctx arch with
-      | Some a -> a
-      | None -> die_unknown ~what:"architecture" arch arch_names
-    in
+    let a = arch_of_arg arch in
     (match out with
     | Some path ->
       Plaid_arch.Verilog.write_file a ~path;
@@ -544,54 +484,45 @@ let faults_cmd =
   let run kernel arch seed nfaults trials repair json jobs trace metrics =
     if nfaults < 0 then die_bad_arg ~what:"fault count" nfaults ~expected:"a non-negative integer";
     if trials < 0 then die_bad_arg ~what:"trial count" trials ~expected:"a non-negative integer";
+    let entry = find_kernel kernel in
+    let a = arch_of_arg arch in
     with_obs ~trace ~metrics @@ fun () ->
-    match Plaid_workloads.Suite.find kernel with
-    | exception Not_found ->
-      Printf.eprintf "unknown kernel %s; try 'plaidc list'\n" kernel;
-      1
-    | entry ->
-      with_jobs jobs @@ fun pool ->
-      let ctx = Plaid_exp.Ctx.create ~seed ~pool () in
-      let a =
-        match fabric_of_name ctx arch with
-        | Some a -> a
-        | None -> die_unknown ~what:"architecture" arch arch_names
-      in
-      let dfg = Plaid_workloads.Suite.dfg entry in
-      let k =
-        Plaid_ir.Unroll.apply entry.Plaid_workloads.Suite.base
-          entry.Plaid_workloads.Suite.unroll
-      in
-      let spm =
-        Plaid_sim.Spm.of_kernel k ~params:(Plaid_workloads.Suite.params entry) ~seed:77
-      in
-      let c =
-        Plaid_fault.Campaign.run ~pool ~arch:a ~dfg ~spm ~seed ~faults:nfaults ~trials
-          ~repair ()
-      in
-      (match json with
-      | Some "-" -> print_endline (Plaid_fault.Campaign.to_json_string c)
-      | Some path ->
-        let oc = open_out path in
-        output_string oc (Plaid_fault.Campaign.to_json_string c);
-        output_char oc '\n';
-        close_out oc;
-        Printf.printf "wrote %s\n" path
-      | None -> Format.printf "%a@." Plaid_fault.Campaign.pp c);
-      (* Failures land on stderr so the report bytes stay clean. *)
-      let failures =
-        List.filter
-          (fun (t : Plaid_fault.Campaign.trial) ->
-            if repair then not t.t_survives && t.t_detail <> "" else t.t_affected)
-          c.Plaid_fault.Campaign.c_results
-      in
-      List.iter
+    with_jobs jobs @@ fun pool ->
+    let dfg = Plaid_workloads.Suite.dfg entry in
+    let k =
+      Plaid_ir.Unroll.apply entry.Plaid_workloads.Suite.base
+        entry.Plaid_workloads.Suite.unroll
+    in
+    let spm =
+      Plaid_sim.Spm.of_kernel k ~params:(Plaid_workloads.Suite.params entry) ~seed:77
+    in
+    let c =
+      Plaid_fault.Campaign.run ~pool ~arch:a ~dfg ~spm ~seed ~faults:nfaults ~trials
+        ~repair ()
+    in
+    (match json with
+    | Some "-" -> print_endline (Plaid_fault.Campaign.to_json_string c)
+    | Some path ->
+      let oc = open_out path in
+      output_string oc (Plaid_fault.Campaign.to_json_string c);
+      output_char oc '\n';
+      close_out oc;
+      Printf.printf "wrote %s\n" path
+    | None -> Format.printf "%a@." Plaid_fault.Campaign.pp c);
+    (* Failures land on stderr so the report bytes stay clean. *)
+    let failures =
+      List.filter
         (fun (t : Plaid_fault.Campaign.trial) ->
-          Printf.eprintf "trial %d: %s MISMATCH: %s\n" t.t_index
-            (if repair then "repaired mapping" else "unrepaired mapping")
-            (if t.t_detail = "" then "fault set intersects mapping" else t.t_detail))
-        failures;
-      if failures = [] then 0 else 1
+          if repair then not t.t_survives && t.t_detail <> "" else t.t_affected)
+        c.Plaid_fault.Campaign.c_results
+    in
+    List.iter
+      (fun (t : Plaid_fault.Campaign.trial) ->
+        Printf.eprintf "trial %d: %s MISMATCH: %s\n" t.t_index
+          (if repair then "repaired mapping" else "unrepaired mapping")
+          (if t.t_detail = "" then "fault set intersects mapping" else t.t_detail))
+      failures;
+    if failures = [] then 0 else 1
   in
   Cmd.v
     (Cmd.info "faults"

@@ -157,7 +157,8 @@ let candidate_json c r =
         match dominated_by c name with
         | Some w -> Plaid_obs.Json.Str w
         | None -> Plaid_obs.Json.Null );
-      ("area", Plaid_model.Export.area_json built.Space.arch ~spm_kb:cand.Space.spm_kb);
+      ( "area",
+        Plaid_model.Export.area_json built.Plaid_core.Fabrics.arch ~spm_kb:cand.Space.spm_kb );
       ("kernels", Plaid_obs.Json.Arr (Array.to_list (Array.map kernel_json r.cr_kernels))) ]
 
 let to_json c =

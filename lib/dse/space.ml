@@ -45,11 +45,6 @@ let validate c =
     err "spm_kb %d out of range (1..256)" c.spm_kb
   else Ok ()
 
-type built = {
-  arch : Plaid_arch.Arch.t;
-  pcu : Plaid_core.Pcu.t option;
-}
-
 let build c =
   let c = normalize c in
   let nm = name c in
@@ -62,7 +57,7 @@ let build c =
         bypass = c.bypass;
         pruned_ops = (if c.pruned then Some Plaid_core.Specialize.ml_ops else None) }
     in
-    { arch = Plaid_arch.Mesh.build params ~name:nm; pcu = None }
+    { Plaid_core.Fabrics.arch = Plaid_arch.Mesh.build params ~name:nm; pcu = None }
   | Plaid ->
     let pcu =
       Plaid_core.Pcu.build ~bypass:c.bypass ~rows:c.rows ~cols:c.cols ~name:nm ()
@@ -74,7 +69,7 @@ let build c =
         Plaid_arch.Arch.set_config arch
           { arch.Plaid_arch.Arch.config with entries = c.config_entries }
     in
-    { arch; pcu = Some { pcu with Plaid_core.Pcu.arch } }
+    { Plaid_core.Fabrics.arch; pcu = Some { pcu with Plaid_core.Pcu.arch } }
 
 type t = {
   space_name : string;
@@ -118,8 +113,8 @@ let tiny =
 let paper =
   force
     (make "paper"
-       [ mesh ();                              (* st_4x4, the paper's baseline *)
-         mesh ~rows:6 ~cols:6 ();              (* st_6x6 *)
+       [ mesh ();                              (* the paper's 4x4 baseline *)
+         mesh ~rows:6 ~cols:6 ();              (* the 6x6 baseline *)
          mesh ~pruned:true ();                 (* st_ml (REVAMP-style pruning) *)
          mesh ~entries:32 ~regs:8 ();          (* overprovisioned *)
          mesh ~entries:8 ~regs:2 ();           (* underprovisioned *)

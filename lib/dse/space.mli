@@ -40,12 +40,7 @@ val name : candidate -> string
 
 val normalize : candidate -> candidate
 
-type built = {
-  arch : Plaid_arch.Arch.t;
-  pcu : Plaid_core.Pcu.t option;  (** present for the Plaid family *)
-}
-
-val build : candidate -> built
+val build : candidate -> Plaid_core.Fabrics.built
 (** Build the fabric; the architecture's name is {!name}[ candidate]. *)
 
 type t = {

@@ -33,43 +33,28 @@ val outer : t -> int
 val pool : t -> Plaid_util.Pool.t option
 
 val prewarm : t -> unit
-(** Force every architecture lazily held by the context.  Call once before
-    sharing [t] across pool tasks: concurrent [Lazy.force] raises in
-    OCaml 5, and the memo tables are mutex-protected but the lazies are
-    not. *)
+(** Build every fabric the context holds.  Call once before sharing [t]
+    across pool tasks: fabrics are built lazily, concurrent [Lazy.force]
+    raises in OCaml 5, and the memo tables are mutex-protected but the
+    lazies are not. *)
 
 (** {1 Architectures} *)
 
-val st : t -> Plaid_arch.Arch.t
-(** 4x4 spatio-temporal baseline. *)
+val fabric : t -> string -> Plaid_core.Fabrics.built
+(** The fabric registered under this short name ({!Plaid_core.Fabrics.names}),
+    built once per context.
+    @raise Invalid_argument on a name outside the registry. *)
 
-val st6 : t -> Plaid_arch.Arch.t
-
-val st_ml : t -> Plaid_arch.Arch.t
-
-val plaid2 : t -> Plaid_core.Pcu.t
-
-val plaid3 : t -> Plaid_core.Pcu.t
-
-val plaid_ml : t -> Plaid_core.Pcu.t
+val pcu : t -> string -> Plaid_core.Pcu.t
+(** The PCU descriptor of a Plaid-family fabric.
+    @raise Invalid_argument on a mesh or an unknown name. *)
 
 (** {1 Mapping results (cached)} *)
 
-val map_st : t -> Plaid_workloads.Suite.entry -> Plaid_mapping.Mapping.t option
-(** Best of PathFinder and SA, as the paper selects for baselines. *)
-
-val map_st6 : t -> Plaid_workloads.Suite.entry -> Plaid_mapping.Mapping.t option
-
-val map_st_ml : t -> Plaid_workloads.Suite.entry -> Plaid_mapping.Mapping.t option
-
-val map_plaid :
-  t -> Plaid_workloads.Suite.entry -> Plaid_core.Hier_mapper.outcome
-
-val map_plaid3 :
-  t -> Plaid_workloads.Suite.entry -> Plaid_core.Hier_mapper.outcome
-
-val map_plaid_ml :
-  t -> Plaid_workloads.Suite.entry -> Plaid_core.Hier_mapper.outcome
+val map : t -> string -> Plaid_workloads.Suite.entry -> Plaid_mapping.Mapping.t option
+(** The kernel mapped on the named fabric by its default mapper
+    ({!Plaid_core.Fabrics.map}): Algorithm 2 on Plaid fabrics, the better
+    of PathFinder and SA on the baselines, as the paper selects. *)
 
 val map_plaid_generic :
   t ->

@@ -54,8 +54,8 @@ val dse : Ctx.t -> summary
 
 val resilience : Ctx.t -> summary
 (** Beyond the paper: fault-injection campaigns ({!Plaid_fault.Campaign})
-    with repair on plaid_2x2 vs st_4x4 — yield, II degradation and repair
-    effort as the injected fault count grows. *)
+    with repair on the 2x2 Plaid vs the 4x4 baseline — yield, II
+    degradation and repair effort as the injected fault count grows. *)
 
 val verify_all : Ctx.t -> summary
 (** Cycle-level simulation of every cached mapping against the golden

@@ -242,3 +242,35 @@ let pp_stats fmt s =
      miss %d@.coalesced %d@.evicted %d@.corrupt %d"
     s.mem_entries s.mem_bytes s.mem_budget s.hit_mem s.hit_disk s.miss
     s.coalesced s.evicted s.corrupt
+
+let blob_of_mapping = function
+  | None -> ""
+  | Some m -> Plaid_mapping.Mapfile.to_string m
+
+(* No single-flight here.  Callers map inside pool tasks, and a nested
+   Pool.run drains any queued task, so a domain can pick up a task that
+   wants a key whose flight it owns further down its own stack, and would
+   wait for itself forever.  The callers' memo tables already accept
+   duplicated work; a duplicate put stores the same blob. *)
+let with_mapping cache ~arch ~mapper ~dfg ~seed compute =
+  match cache with
+  | None -> compute ()
+  | Some t -> (
+    let key = Fingerprint.key ~dfg ~arch ~mapper ~seed in
+    let blob =
+      match find t ~key with
+      | Some (blob, _) -> blob
+      | None ->
+        locked t (fun () -> t.s_miss <- t.s_miss + 1);
+        Plaid_obs.Metrics.incr m_miss;
+        let blob = blob_of_mapping (compute ()) in
+        put t ~key blob;
+        blob
+    in
+    match blob with
+    | "" -> None
+    | b -> (
+      let resolve n = if n = arch.Plaid_arch.Arch.name then Some arch else None in
+      match Plaid_mapping.Mapfile.of_string ~resolve b with
+      | Ok m -> Some m
+      | Error _ -> compute ()))

@@ -73,3 +73,31 @@ val stats : t -> stats
 
 val pp_stats : Format.formatter -> stats -> unit
 (** Stable, deterministic field order — the [stats] protocol reply. *)
+
+(** {1 Mapping blobs} *)
+
+val blob_of_mapping : Plaid_mapping.Mapping.t option -> string
+(** A mapping's mapfile text; a failed mapping is the empty blob, so
+    deterministic failures are cached like successes. *)
+
+val with_mapping :
+  t option ->
+  arch:Plaid_arch.Arch.t ->
+  mapper:string ->
+  dfg:Plaid_ir.Dfg.t ->
+  seed:int ->
+  (unit -> Plaid_mapping.Mapping.t option) ->
+  Plaid_mapping.Mapping.t option
+(** [compute ()] through the cache under {!Fingerprint.key}, or directly
+    without a cache.  The value returned is always the one parsed back from
+    the stored blob, so a cold and a warm cache hand callers structurally
+    identical mappings, and any round-trip inexactness shows up at once
+    (the determinism gate compares cached runs with cache-free ones byte
+    for byte).  A blob that fails to parse (which the store's checksums
+    make unreachable short of a format bug) falls back to a fresh compute.
+
+    Hits and misses count as in {!get_or_compute}, but concurrent callers
+    of one key are not coalesced: each computes the same deterministic
+    blob.  A caller inside a pool task could otherwise wait on a flight
+    its own domain owns further down the stack (nested [Pool.run] runs
+    any queued task) and never wake. *)

@@ -19,31 +19,10 @@ let h_queue_depth =
     ~buckets:(Plaid_obs.Metrics.log_buckets ~start:1.0 ~factor:2.0 ~count:10)
     "serve_queue_depth"
 
-(* The same fabrics, by the same names, as `plaidc map -a`: responses must
-   be byte-identical to what the one-shot CLI writes. *)
-let arch_names = [ "st"; "st6"; "stml"; "plaid"; "plaid3"; "plaidml" ]
-
-let build_fabric = function
-  | "st" ->
-    Some (Plaid_arch.Mesh.build Plaid_arch.Mesh.spatio_temporal_4x4 ~name:"st_4x4", None)
-  | "st6" ->
-    Some (Plaid_arch.Mesh.build Plaid_arch.Mesh.spatio_temporal_6x6 ~name:"st_6x6", None)
-  | "stml" -> Some (Plaid_core.Specialize.st_ml (), None)
-  | "plaid" ->
-    let p = Plaid_core.Pcu.build ~rows:2 ~cols:2 ~name:"plaid_2x2" () in
-    Some (p.Plaid_core.Pcu.arch, Some p)
-  | "plaid3" ->
-    let p = Plaid_core.Pcu.build ~rows:3 ~cols:3 ~name:"plaid_3x3" () in
-    Some (p.Plaid_core.Pcu.arch, Some p)
-  | "plaidml" ->
-    let p = Plaid_core.Specialize.plaid_ml () in
-    Some (p.Plaid_core.Pcu.arch, Some p)
-  | _ -> None
-
 type t = {
   cache : Cache.t;
   pool : Plaid_util.Pool.t option;
-  fabrics : (string * (Plaid_arch.Arch.t * Plaid_core.Pcu.t option)) list;
+  fabrics : (string * Plaid_core.Fabrics.built) list;  (* the registry, by short name *)
   started : int64;  (* Clock.now_ns at create, for the health uptime *)
   slow_ms : float;
   (* always-live request/error tallies for the health line, independent of
@@ -55,7 +34,8 @@ type t = {
 let create ?pool ?(slow_ms = 1000.0) ~cache () =
   (* eager: pool tasks must never force a shared lazy concurrently *)
   let fabrics =
-    List.map (fun n -> (n, Option.get (build_fabric n))) arch_names
+    List.map (fun (f : Plaid_core.Fabrics.named) -> (f.short, f.build ()))
+      Plaid_core.Fabrics.registry
   in
   { cache; pool; fabrics; started = Plaid_obs.Trace.Clock.now_ns (); slow_ms;
     n_requests = Atomic.make 0; n_errors = Atomic.make 0 }
@@ -162,27 +142,21 @@ let parse_request line =
 
 (* ------------------------------------------------------------- compute *)
 
-(* Negative results (mapper found nothing) are cached as the empty blob:
-   deterministic failures are as cacheable as successes, and a replayed
-   corpus is all hits on the second pass either way. *)
-let blob_of_mapping = function
-  | None -> ""
-  | Some m -> Plaid_mapping.Mapfile.to_string m
+(* The cache key and the compute for a DFG on a fabric.  A failed mapping
+   computes the empty blob (Cache.blob_of_mapping): deterministic failures
+   are as cacheable as successes, and a replayed corpus is all hits on the
+   second pass either way. *)
+let keyed (b : Plaid_core.Fabrics.built) ~dfg ~seed =
+  let key = Fingerprint.key ~dfg ~arch:b.arch ~mapper:(Plaid_core.Fabrics.mapper_id b) ~seed in
+  Ok (key, fun () -> Cache.blob_of_mapping (Plaid_core.Fabrics.map ~seed b dfg))
 
-let map_on_fabric ~arch ~pcu ~dfg ~seed =
-  match pcu with
-  | Some plaid ->
-    (Plaid_core.Hier_mapper.map ~plaid ~seed dfg).Plaid_core.Hier_mapper.mapping
+let find_fabric t arch =
+  match List.assoc_opt arch t.fabrics with
+  | Some b -> Ok b
   | None ->
-    (Plaid_mapping.Driver.best_of
-       ~algos:
-         [ Plaid_mapping.Driver.Pf Plaid_mapping.Pathfinder.default;
-           Plaid_mapping.Driver.Sa Plaid_mapping.Anneal.default ]
-       ~arch ~dfg ~seed ())
-      .Plaid_mapping.Driver.mapping
-
-let mapper_name ~pcu =
-  match pcu with Some _ -> "hier:default" | None -> "best_of:pf+sa:default"
+    Error
+      (Printf.sprintf "unknown architecture %s (choose from %s)" arch
+         (String.concat ", " Plaid_core.Fabrics.names))
 
 (* Resolve a request down to (key, compute) — everything except the mapping
    itself, so batches can dedupe before burning a worker. *)
@@ -190,30 +164,16 @@ let prepare t = function
   | Map { kernel; arch; seed; _ } -> (
     match Plaid_workloads.Suite.find kernel with
     | exception Not_found -> Error (Printf.sprintf "unknown kernel %s" kernel)
-    | entry -> (
-      match List.assoc_opt arch t.fabrics with
-      | None ->
-        Error
-          (Printf.sprintf "unknown architecture %s (choose from %s)" arch
-             (String.concat ", " arch_names))
-      | Some (a, pcu) ->
-        let dfg = Plaid_workloads.Suite.dfg entry in
-        let key = Fingerprint.key ~dfg ~arch:a ~mapper:(mapper_name ~pcu) ~seed in
-        Ok (key, fun () -> blob_of_mapping (map_on_fabric ~arch:a ~pcu ~dfg ~seed))))
+    | entry ->
+      let* b = find_fabric t arch in
+      keyed b ~dfg:(Plaid_workloads.Suite.dfg entry) ~seed)
   | Compile { file; arch; seed; _ } -> (
     match Plaid_ir.Parse.kernel_of_file file with
     | exception Sys_error msg -> Error msg
     | Error e -> Error (Format.asprintf "%s: %a" file Plaid_ir.Parse.pp_error e)
-    | Ok kernel -> (
-      match List.assoc_opt arch t.fabrics with
-      | None ->
-        Error
-          (Printf.sprintf "unknown architecture %s (choose from %s)" arch
-             (String.concat ", " arch_names))
-      | Some (a, pcu) ->
-        let dfg, _ = Plaid_ir.Opt.optimize (Plaid_ir.Lower.lower kernel) in
-        let key = Fingerprint.key ~dfg ~arch:a ~mapper:(mapper_name ~pcu) ~seed in
-        Ok (key, fun () -> blob_of_mapping (map_on_fabric ~arch:a ~pcu ~dfg ~seed))))
+    | Ok kernel ->
+      let* b = find_fabric t arch in
+      keyed b ~dfg:(fst (Plaid_ir.Opt.optimize (Plaid_ir.Lower.lower kernel))) ~seed)
   | Case { file; _ } -> (
     match Plaid_check.Case.load ~path:file with
     | Error e -> Error (Printf.sprintf "%s: %s" file e)
@@ -221,10 +181,8 @@ let prepare t = function
       match Plaid_check.Case.build c with
       | exception Invalid_argument msg -> Error (Printf.sprintf "%s: %s" file msg)
       | arch, pcu ->
-        let dfg = c.Plaid_check.Case.dfg in
-        let seed = c.Plaid_check.Case.seed in
-        let key = Fingerprint.key ~dfg ~arch ~mapper:(mapper_name ~pcu) ~seed in
-        Ok (key, fun () -> blob_of_mapping (map_on_fabric ~arch ~pcu ~dfg ~seed))))
+        keyed { Plaid_core.Fabrics.arch; pcu } ~dfg:c.Plaid_check.Case.dfg
+          ~seed:c.Plaid_check.Case.seed))
   | Stats | Metrics | Health | Evict _ | Quit -> Error "not a compile request"
 
 let deadline_of = function

@@ -9,11 +9,13 @@
 
     {2 Line protocol}
 
-    One request per line, space-separated [key=value] arguments:
+    One request per line, space-separated [key=value] arguments.  [arch]
+    names a fabric of {!Plaid_core.Fabrics.registry} (default [plaid]),
+    mapped by {!Plaid_core.Fabrics.map}:
 
     {v
     map kernel=<name> arch=<st|st6|stml|plaid|plaid3|plaidml> [seed=<n>] [deadline-ms=<n>]
-    compile file=<kernel.k> [arch=<plaid|st>] [seed=<n>] [deadline-ms=<n>]
+    compile file=<kernel.k> [arch=<st|st6|stml|plaid|plaid3|plaidml>] [seed=<n>] [deadline-ms=<n>]
     case file=<corpus.case> [deadline-ms=<n>]
     stats
     metrics
@@ -51,7 +53,7 @@
 type t
 
 val create : ?pool:Plaid_util.Pool.t -> ?slow_ms:float -> cache:Cache.t -> unit -> t
-(** Builds the named fabrics eagerly (so pool tasks never race a lazy) and
+(** Builds every registry fabric eagerly (so pool tasks never race a lazy) and
     keeps [pool] for {!run_batch}.  [slow_ms] (default 1000) is the
     slow-request log threshold. *)
 
@@ -87,6 +89,3 @@ val run_batch : t -> request list -> response list
 
 val write_response : out_channel -> response -> unit
 (** Emit the wire framing described above (flushes). *)
-
-val arch_names : string list
-(** Fabric names [map] accepts — the same set [plaidc map -a] resolves. *)

@@ -10,7 +10,10 @@
    2. [Experiments.run] over a representative subset must emit the same
       bytes and the same summaries from a -j N context as from a fresh
       sequential context.  This is the acceptance criterion that the
-      regenerated report is independent of worker count. *)
+      regenerated report is independent of worker count.
+
+   Further checks cover the mapping cache, pool tasks sharing one cached
+   context, DSE campaigns and tracing. *)
 
 let jobs =
   let rec scan = function
@@ -141,8 +144,8 @@ let check_cache_invariance pool =
     List.map
       (fun kernel ->
         let e = Plaid_workloads.Suite.find kernel in
-        [ blob (Plaid_exp.Ctx.map_st ctx e);
-          blob (Plaid_exp.Ctx.map_plaid ctx e).Plaid_core.Hier_mapper.mapping;
+        [ blob (Plaid_exp.Ctx.map ctx "st" e);
+          blob (Plaid_exp.Ctx.map ctx "plaid" e);
           blob (Plaid_exp.Ctx.map_plaid_generic ctx `Pf e) ])
       kernels
   in
@@ -168,6 +171,54 @@ let check_cache_invariance pool =
   in
   if plain_summaries <> cached_summaries || plain_bytes <> cached_bytes then
     fail "experiment report changes when a cache is attached (-j %d)" jobs
+
+(* ------------------------------- pool tasks sharing one cached context *)
+
+(* `plaidc exp --cache -j N` runs experiments as pool tasks over one cached
+   context, and the baseline portfolio nests a Pool.run that runs any
+   queued task, so a domain can be asked for a mapping it is already
+   computing further down its own stack.  The cached path must not wait
+   for itself: these tasks take well under a second, and hung for good
+   while the cache coalesced concurrent callers.  A watchdog turns a hang
+   into a failure. *)
+let check_shared_cache_tasks pool =
+  let dir = Filename.temp_file "plaid_det_shared" "" in
+  Sys.remove dir;
+  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir) @@ fun () ->
+  let kernels = [| "dwconv"; "jacobi"; "atax_u2" |] in
+  let maps ?pool ?cache () =
+    let ctx = Plaid_exp.Ctx.create ?pool ?cache () in
+    Plaid_exp.Ctx.prewarm ctx;
+    let tasks =
+      List.init 12 (fun i () ->
+          Option.map Plaid_mapping.Mapfile.to_string
+            (Plaid_exp.Ctx.map ctx "st" (Plaid_workloads.Suite.find kernels.(i mod 3))))
+    in
+    match pool with
+    | Some pool -> Plaid_util.Pool.run pool tasks
+    | None -> List.map (fun task -> task ()) tasks
+  in
+  let finished = Atomic.make false in
+  let watchdog =
+    Domain.spawn (fun () ->
+        let rec wait ticks =
+          if not (Atomic.get finished) then
+            if ticks = 0 then begin
+              Printf.eprintf "FAIL: pool tasks sharing a cached context hung (-j %d)\n%!" jobs;
+              exit 1
+            end
+            else begin
+              Unix.sleepf 0.1;
+              wait (ticks - 1)
+            end
+        in
+        wait 600)
+  in
+  let shared = maps ~pool ~cache:(Plaid_serve.Cache.create ~dir ()) () in
+  Atomic.set finished true;
+  Domain.join watchdog;
+  if shared <> maps () then
+    fail "pool tasks sharing a cached context map differently (-j %d)" jobs
 
 (* --------------------------------------------------- DSE campaign identity *)
 
@@ -249,6 +300,7 @@ let () =
       check_router_cores pool;
       check_experiments pool;
       check_cache_invariance pool;
+      check_shared_cache_tasks pool;
       check_dse pool;
       check_obs_invariance pool);
   if !failures > 0 then exit 1;

@@ -86,6 +86,51 @@ let test_custom_fabric_maps () =
       | Ok () -> ()
       | Error msg -> Alcotest.fail msg))
 
+(* Every named fabric builds under its full name, resolves back from it,
+   and carries a mapping through the mapfile round trip that [plaidc run]
+   and the serve cache depend on. *)
+let test_registry_round_trip () =
+  let g = Plaid_workloads.Suite.dfg (Plaid_workloads.Suite.find "dwconv") in
+  List.iter
+    (fun (f : Plaid_core.Fabrics.named) ->
+      let b =
+        match Plaid_core.Fabrics.build f.short with
+        | Some b -> b
+        | None -> Alcotest.failf "%s does not build" f.short
+      in
+      check Alcotest.string (f.short ^ " full name") f.full b.arch.Plaid_arch.Arch.name;
+      (match Plaid_core.Fabrics.resolve f.full with
+      | Some a -> check Alcotest.string (f.full ^ " resolves") f.full a.Plaid_arch.Arch.name
+      | None -> Alcotest.failf "%s does not resolve" f.full);
+      match Plaid_core.Fabrics.map ~quick:true ~seed:5 b g with
+      | None -> Alcotest.failf "dwconv does not map on %s" f.short
+      | Some m -> (
+        let blob = Plaid_mapping.Mapfile.to_string m in
+        match Plaid_mapping.Mapfile.of_string ~resolve:Plaid_core.Fabrics.resolve blob with
+        | Error e -> Alcotest.failf "%s mapfile does not reload: %s" f.short e
+        | Ok m' ->
+          check Alcotest.string (f.short ^ " round trip") blob
+            (Plaid_mapping.Mapfile.to_string m')))
+    Plaid_core.Fabrics.registry;
+  check Alcotest.(list string) "short names" [ "st"; "st6"; "stml"; "plaid"; "plaid3"; "plaidml" ]
+    Plaid_core.Fabrics.names;
+  check Alcotest.bool "unknown short name" true (Plaid_core.Fabrics.build "nosuch" = None);
+  check Alcotest.bool "unknown full name" true (Plaid_core.Fabrics.resolve "st" = None)
+
+(* The mapper ids are part of every cache key: stores on disk, and the
+   benchmark's warm-serve workload, which recomputes the expected keys,
+   depend on these exact strings. *)
+let test_mapper_ids () =
+  let id ?quick short =
+    Plaid_core.Fabrics.mapper_id ?quick (Option.get (Plaid_core.Fabrics.build short))
+  in
+  check Alcotest.string "plaid" "hier:default" (id "plaid");
+  check Alcotest.string "plaid quick" "hier:quick" (id ~quick:true "plaid");
+  check Alcotest.string "st" "best_of:pf+sa:default" (id "st");
+  check Alcotest.string "st quick" "best_of:pf+sa:quick" (id ~quick:true "st");
+  check Alcotest.string "pf" "driver:pf:default" (Plaid_core.Fabrics.driver_mapper_id `Pf);
+  check Alcotest.string "sa" "driver:sa:default" (Plaid_core.Fabrics.driver_mapper_id `Sa)
+
 let suites =
   [
     ( "adl",
@@ -98,5 +143,7 @@ let suites =
         Alcotest.test_case "fabric construction" `Quick test_fabric_construction;
         Alcotest.test_case "example files" `Quick test_example_files_build;
         Alcotest.test_case "custom fabric maps" `Slow test_custom_fabric_maps;
+        Alcotest.test_case "registry round trip" `Slow test_registry_round_trip;
+        Alcotest.test_case "mapper ids" `Quick test_mapper_ids;
       ] );
   ]

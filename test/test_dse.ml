@@ -193,8 +193,8 @@ let test_paper_space_builds () =
     (fun c ->
       let b = Space.build c in
       check Alcotest.string "arch named after candidate" (Space.name c)
-        b.Space.arch.Plaid_arch.Arch.name;
-      match (c.Space.family, b.Space.pcu) with
+        b.Plaid_core.Fabrics.arch.Plaid_arch.Arch.name;
+      match (c.Space.family, b.Plaid_core.Fabrics.pcu) with
       | Space.Plaid, None -> Alcotest.fail "plaid candidate built without PCU"
       | Space.Plaid, Some pcu ->
         check Alcotest.int "pcu entries follow the candidate"
@@ -203,7 +203,7 @@ let test_paper_space_builds () =
       | Space.Mesh, Some _ -> Alcotest.fail "mesh candidate built a PCU"
       | Space.Mesh, None ->
         check Alcotest.int "mesh entries follow the candidate"
-          c.Space.config_entries b.Space.arch.Plaid_arch.Arch.config.entries)
+          c.Space.config_entries b.Plaid_core.Fabrics.arch.Plaid_arch.Arch.config.entries)
     (List.assoc "paper" Space.presets).Space.candidates
 
 (* Regression: a bypass-less mesh candidate must build (the mesh wiring
@@ -230,12 +230,12 @@ let test_mesh_nobypass_candidate_builds () =
       (fun (r : Plaid_arch.Arch.resource) -> contains r.rname ".byp_")
       arch.Plaid_arch.Arch.resources
   in
-  check Alcotest.bool "no byp resources without bypass" false (has_byp b.Space.arch);
+  check Alcotest.bool "no byp resources without bypass" false (has_byp b.Plaid_core.Fabrics.arch);
   (* the bypassed twin is a distinct candidate with a distinct name *)
   let c' = Space.normalize { c with Space.bypass = true } in
   check Alcotest.bool "bypassed twin has a different name" true (Space.name c' <> name);
   let b' = Space.build c' in
-  check Alcotest.bool "bypassed twin keeps byp resources" true (has_byp b'.Space.arch)
+  check Alcotest.bool "bypassed twin keeps byp resources" true (has_byp b'.Plaid_core.Fabrics.arch)
 
 let test_normalization_dedup () =
   match

@@ -24,8 +24,12 @@
      reports at -j 1 and -j 4, valid JSON with --json -), and reject bad
      space/suite/strategy names, malformed budgets, conflicting strategy
      flags, and unreadable space files with one stderr line and exit 2;
-   - unknown subcommands, unknown flags, and out-of-range argument values
-     (negative counts, -j 0) must exit 2 with a diagnostic on stderr. *)
+   - a fabric described in an ADL file must take the same map path as a
+     named one: simulation check, -o mapfile;
+   - `plaidc compile` must accept every registry fabric;
+   - unknown subcommands, kernels and architectures, unusable ADL files,
+     unknown flags, and out-of-range argument values (negative counts,
+     -j 0) must exit 2 with a diagnostic on stderr. *)
 
 let plaidc = Sys.argv.(1)
 
@@ -409,6 +413,28 @@ let () =
         if Plaid_obs.Json.member key doc = None then fail "dse JSON report is missing %S" key)
       [ "space"; "suite"; "strategy"; "seed"; "frontier"; "candidates" ])
 
+(* --- fabrics from the registry and from ADL files ------------------------ *)
+
+let examples = Filename.concat (Filename.concat ".." "..") "examples"
+
+let () =
+  (* an ADL fabric is verified and saved like a named one, but its mapfile
+     names a fabric outside the registry, so `run` cannot reload it *)
+  let adl = Filename.concat (Filename.concat examples "archs") "st_8x8.adl" in
+  let rc = sh "%s map -k gemm_u2 -a @%s -o adl.map > adl.out 2> adl.err" plaidc adl in
+  if rc <> 0 then fail "map on an ADL fabric exited %d" rc;
+  if not (contains ~needle:"simulation: bit-exact" (read_file "adl.out")) then
+    fail "map on an ADL fabric did not verify the mapping";
+  if not (Sys.file_exists "adl.map") then fail "map on an ADL fabric ignored -o";
+  let rc = sh "%s run -f adl.map > adlrun.out 2> adlrun.err" plaidc in
+  if rc <> 2 then fail "run on an ADL-fabric mapfile: expected exit 2, got %d" rc;
+  (* compile accepts every registry name, not only plaid and st *)
+  let fir4 = Filename.concat (Filename.concat examples "kernels") "fir4.plc" in
+  let rc = sh "%s compile -f %s -a st6 > st6.out 2> st6.err" plaidc fir4 in
+  if rc <> 0 then fail "compile -a st6 exited %d" rc;
+  if not (contains ~needle:"bit-exact" (read_file "st6.out")) then
+    fail "compile -a st6 did not verify the mapping"
+
 (* --- uniform bad-name handling ----------------------------------------- *)
 
 let () =
@@ -418,6 +444,28 @@ let () =
   if rc <> 2 then fail "unknown architecture: expected exit 2, got %d" rc;
   if not (contains ~needle:"plaid" (read_file "arch.err")) then
     fail "unknown-architecture error does not list the valid choices";
+  (* bad kernels, architectures and ADL files: exit 2, one stderr line
+     carrying [needle], nothing on stdout *)
+  let oc = open_out "bad.adl" in
+  output_string oc "family mesh\nrows banana\n";
+  close_out oc;
+  let fir4 = Filename.concat (Filename.concat examples "kernels") "fir4.plc" in
+  List.iteri
+    (fun i (args, needle) ->
+      let out = Printf.sprintf "badin%d.out" i and err = Printf.sprintf "badin%d.err" i in
+      let rc = sh "%s %s > %s 2> %s" plaidc args out err in
+      if rc <> 2 then fail "%s: expected exit 2, got %d" args rc;
+      if String.trim (read_file out) <> "" then fail "%s: output leaked to stdout" args;
+      match String.split_on_char '\n' (String.trim (read_file err)) with
+      | [ line ] ->
+        if not (contains ~needle line) then fail "%s: diagnostic lacks %S: %s" args needle line
+      | lines -> fail "%s: expected one stderr line, got %d" args (List.length lines))
+    [ ("map -k nosuch -a st", "try 'plaidc list'");
+      ("faults -k nosuch -a st", "try 'plaidc list'");
+      ("motifs -k nosuch", "try 'plaidc list'");
+      ("map -k gemm_u2 -a @bad.adl", "bad.adl");
+      ("map -k gemm_u2 -a @nonexistent.adl", "nonexistent.adl");
+      (Printf.sprintf "compile -f %s -a nosuch" fir4, "unknown architecture") ];
   (* bad argument values: stderr diagnostic + exit 2, uniformly *)
   let rc = sh "%s fuzz --frobnicate > badflag.out 2> badflag.err" plaidc in
   if rc <> 2 then fail "unknown fuzz flag: expected exit 2, got %d" rc;
