@@ -335,32 +335,55 @@ let set_config t config = { t with config }
    can observe — resources, links, config profile, routethrough policy, and
    the attached fault set (sorted, so list order cannot split a cache).
    Derived tables (out_links, f_res, ...) are functions of these and are
-   deliberately omitted. *)
-let fingerprint_lines t =
-  let lines = ref [] in
-  let pf fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
-  pf "arch %s" t.name;
-  pf "config %d %d %d %c" t.config.compute_bits t.config.comm_bits t.config.entries
-    (if t.config.clock_gated then 'g' else '-');
-  pf "routethrough %c" (if t.allow_fu_routethrough then 'y' else 'n');
+   deliberately omitted.  [write_fingerprint] appends each line to [b] and
+   calls [eol] after it; it is the one definition of the format.  Digits
+   are written directly: Printf and string_of_int both go through the C
+   format interpreter, which dominated the cost (a registry fabric has
+   ~1-4k lines). *)
+let write_fingerprint t b ~eol =
+  let str = Buffer.add_string b and chr = Buffer.add_char b in
+  let rec digits n =
+    if n >= 10 then digits (n / 10);
+    chr (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+  in
+  let int n = if n >= 0 then digits n else str (string_of_int n) in
+  str "arch "; str t.name; eol ();
+  str "config ";
+  List.iter (fun n -> int n; chr ' ') [ t.config.compute_bits; t.config.comm_bits; t.config.entries ];
+  chr (if t.config.clock_gated then 'g' else '-'); eol ();
+  str "routethrough "; chr (if t.allow_fu_routethrough then 'y' else 'n'); eol ();
   Array.iter
     (fun r ->
-      let kind =
-        match r.kind with
-        | Port -> "port"
-        | Reg -> "reg"
-        | Fu f ->
-          Printf.sprintf "fu[%s]%s"
-            (String.concat "," (List.map Plaid_ir.Op.to_string f.fu_ops))
-            (if f.fu_memory then "+mem" else "")
-      in
-      pf "res %d %s %s (%d,%d) %s" r.id r.rname kind (fst r.tile) (snd r.tile)
-        r.area_class)
+      str "res "; int r.id; chr ' '; str r.rname; chr ' ';
+      (match r.kind with
+      | Port -> str "port"
+      | Reg -> str "reg"
+      | Fu f ->
+        str "fu[";
+        List.iteri (fun i op -> if i > 0 then chr ','; str (Plaid_ir.Op.to_string op)) f.fu_ops;
+        chr ']';
+        if f.fu_memory then str "+mem");
+      str " ("; int (fst r.tile); chr ','; int (snd r.tile); str ") "; str r.area_class;
+      eol ())
     t.resources;
-  Array.iter (fun l -> pf "link %d %d %d" l.lsrc l.ldst l.latency) t.links;
-  List.iter (fun f -> pf "fault %s" f)
-    (List.sort compare (List.map (fault_to_string t) t.faults));
+  Array.iter
+    (fun l -> str "link "; int l.lsrc; chr ' '; int l.ldst; chr ' '; int l.latency; eol ())
+    t.links;
+  List.iter (fun f -> str "fault "; str f; eol ())
+    (List.sort compare (List.map (fault_to_string t) t.faults))
+
+let fingerprint_lines t =
+  let b = Buffer.create 128 and lines = ref [] in
+  write_fingerprint t b ~eol:(fun () ->
+      lines := Buffer.contents b :: !lines;
+      Buffer.clear b);
   List.rev !lines
+
+let fingerprint_text t =
+  let b = Buffer.create 4096 in
+  write_fingerprint t b ~eol:(fun () -> Buffer.add_char b '\n');
+  (* there are always lines; drop the last newline *)
+  Buffer.sub b 0 (Buffer.length b - 1)
 
 let pp_summary fmt t =
   let count k = Array.to_list t.resources |> List.filter (fun r -> r.kind = k) |> List.length in

@@ -186,6 +186,11 @@ val fingerprint_lines : t -> string list
     profile, routethrough policy, every resource and link, and the
     attached fault set (sorted).  Two architectures with equal lines are
     indistinguishable to every mapper; the mapping-cache fingerprints
-    ({!Plaid_serve.Fingerprint}) digest exactly this. *)
+    ({!Plaid_serve.Fingerprint}) digest exactly this, as
+    {!fingerprint_text}. *)
+
+val fingerprint_text : t -> string
+(** [String.concat "\n" (fingerprint_lines t)], written into one buffer
+    without building the lines. *)
 
 val pp_summary : Format.formatter -> t -> unit

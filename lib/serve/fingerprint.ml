@@ -10,10 +10,12 @@ let digest_hex s = Digest.to_hex (Digest.string s)
 
 let dfg g = digest_hex (String.concat "\n" (Plaid_mapping.Mapfile.dfg_to_lines g))
 
-let arch a = digest_hex (String.concat "\n" (Plaid_arch.Arch.fingerprint_lines a))
+let arch a = digest_hex (Plaid_arch.Arch.fingerprint_text a)
 
-let key ~dfg:g ~arch:a ~mapper ~seed =
+let key_of_digests ~dfg ~arch ~mapper ~seed =
   digest_hex
     (String.concat "\n"
-       [ "plaid-cache-key"; version; "dfg " ^ dfg g; "arch " ^ arch a;
+       [ "plaid-cache-key"; version; "dfg " ^ dfg; "arch " ^ arch;
          "mapper " ^ mapper; "seed " ^ string_of_int seed ])
+
+let key ~dfg:g ~arch:a ~mapper ~seed = key_of_digests ~dfg:(dfg g) ~arch:(arch a) ~mapper ~seed

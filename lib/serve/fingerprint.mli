@@ -45,3 +45,9 @@ val key :
 (** The cache key for one compilation request.  Distinct canonical
     components give distinct keys (modulo MD5 collisions); identical
     components give identical keys in every process. *)
+
+val key_of_digests : dfg:string -> arch:string -> mapper:string -> seed:int -> string
+(** {!key} from components already digested: [key_of_digests ~dfg:(dfg g)
+    ~arch:(arch a)] is [key ~dfg:g ~arch:a], byte for byte ({!key} is
+    defined that way).  For callers that hold a digest across requests,
+    such as the serve path's per-fabric and per-kernel digests. *)

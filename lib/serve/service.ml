@@ -19,10 +19,17 @@ let h_queue_depth =
     ~buckets:(Plaid_obs.Metrics.log_buckets ~start:1.0 ~factor:2.0 ~count:10)
     "serve_queue_depth"
 
+(* A registry fabric with its Fingerprint.arch digest.  A built fabric is
+   never modified, so the digest is taken once, when the service is made. *)
+type fabric = { built : Plaid_core.Fabrics.built; arch_fp : string }
+
 type t = {
   cache : Cache.t;
   pool : Plaid_util.Pool.t option;
-  fabrics : (string * Plaid_core.Fabrics.built) list;  (* the registry, by short name *)
+  fabrics : (string * fabric) list;  (* the registry, by short name *)
+  kernel_fps : (string, string) Plaid_util.Memo.t;
+      (* suite kernel name -> Fingerprint.dfg of its lowered DFG; only names
+         Suite.find accepted enter, so it never outgrows the suite *)
   started : int64;  (* Clock.now_ns at create, for the health uptime *)
   slow_ms : float;
   (* always-live request/error tallies for the health line, independent of
@@ -34,13 +41,20 @@ type t = {
 let create ?pool ?(slow_ms = 1000.0) ~cache () =
   (* eager: pool tasks must never force a shared lazy concurrently *)
   let fabrics =
-    List.map (fun (f : Plaid_core.Fabrics.named) -> (f.short, f.build ()))
+    List.map
+      (fun (f : Plaid_core.Fabrics.named) ->
+        let built = f.build () in
+        (f.short, { built; arch_fp = Fingerprint.arch built.arch }))
       Plaid_core.Fabrics.registry
   in
-  { cache; pool; fabrics; started = Plaid_obs.Trace.Clock.now_ns (); slow_ms;
+  { cache; pool; fabrics;
+    kernel_fps = Plaid_util.Memo.create (List.length Plaid_workloads.Suite.table2);
+    started = Plaid_obs.Trace.Clock.now_ns (); slow_ms;
     n_requests = Atomic.make 0; n_errors = Atomic.make 0 }
 
 let cache t = t.cache
+
+let memoized_kernels t = Plaid_util.Memo.length t.kernel_fps
 
 type request =
   | Map of { kernel : string; arch : string; seed : int; deadline_ms : int option }
@@ -142,13 +156,17 @@ let parse_request line =
 
 (* ------------------------------------------------------------- compute *)
 
-(* The cache key and the compute for a DFG on a fabric.  A failed mapping
-   computes the empty blob (Cache.blob_of_mapping): deterministic failures
-   are as cacheable as successes, and a replayed corpus is all hits on the
-   second pass either way. *)
-let keyed (b : Plaid_core.Fabrics.built) ~dfg ~seed =
-  let key = Fingerprint.key ~dfg ~arch:b.arch ~mapper:(Plaid_core.Fabrics.mapper_id b) ~seed in
-  Ok (key, fun () -> Cache.blob_of_mapping (Plaid_core.Fabrics.map ~seed b dfg))
+(* The cache key and the compute for a DFG on a fabric, from the digests of
+   both; [dfg] is forced only by the compute, so a hit never builds it.  A
+   failed mapping computes the empty blob (Cache.blob_of_mapping):
+   deterministic failures are as cacheable as successes, and a replayed
+   corpus is all hits on the second pass either way. *)
+let keyed (b : Plaid_core.Fabrics.built) ~arch_fp ~dfg_fp ~seed dfg =
+  let key =
+    Fingerprint.key_of_digests ~dfg:dfg_fp ~arch:arch_fp
+      ~mapper:(Plaid_core.Fabrics.mapper_id b) ~seed
+  in
+  Ok (key, fun () -> Cache.blob_of_mapping (Plaid_core.Fabrics.map ~seed b (dfg ())))
 
 let find_fabric t arch =
   match List.assoc_opt arch t.fabrics with
@@ -159,21 +177,29 @@ let find_fabric t arch =
          (String.concat ", " Plaid_core.Fabrics.names))
 
 (* Resolve a request down to (key, compute) — everything except the mapping
-   itself, so batches can dedupe before burning a worker. *)
+   itself, so batches can dedupe before burning a worker.  A [map] digests
+   nothing here: its fabric's digest was taken at create time and its
+   kernel's on the first request that named it. *)
 let prepare t = function
   | Map { kernel; arch; seed; _ } -> (
     match Plaid_workloads.Suite.find kernel with
     | exception Not_found -> Error (Printf.sprintf "unknown kernel %s" kernel)
     | entry ->
-      let* b = find_fabric t arch in
-      keyed b ~dfg:(Plaid_workloads.Suite.dfg entry) ~seed)
+      let* f = find_fabric t arch in
+      let dfg () = Plaid_workloads.Suite.dfg entry in
+      let dfg_fp =
+        Plaid_util.Memo.find_or_add t.kernel_fps kernel (fun () -> Fingerprint.dfg (dfg ()))
+      in
+      keyed f.built ~arch_fp:f.arch_fp ~dfg_fp ~seed dfg)
   | Compile { file; arch; seed; _ } -> (
     match Plaid_ir.Parse.kernel_of_file file with
     | exception Sys_error msg -> Error msg
     | Error e -> Error (Format.asprintf "%s: %a" file Plaid_ir.Parse.pp_error e)
     | Ok kernel ->
-      let* b = find_fabric t arch in
-      keyed b ~dfg:(fst (Plaid_ir.Opt.optimize (Plaid_ir.Lower.lower kernel))) ~seed)
+      let* f = find_fabric t arch in
+      (* the file may change between requests, so its DFG is digested each time *)
+      let g = fst (Plaid_ir.Opt.optimize (Plaid_ir.Lower.lower kernel)) in
+      keyed f.built ~arch_fp:f.arch_fp ~dfg_fp:(Fingerprint.dfg g) ~seed (fun () -> g))
   | Case { file; _ } -> (
     match Plaid_check.Case.load ~path:file with
     | Error e -> Error (Printf.sprintf "%s: %s" file e)
@@ -181,8 +207,9 @@ let prepare t = function
       match Plaid_check.Case.build c with
       | exception Invalid_argument msg -> Error (Printf.sprintf "%s: %s" file msg)
       | arch, pcu ->
-        keyed { Plaid_core.Fabrics.arch; pcu } ~dfg:c.Plaid_check.Case.dfg
-          ~seed:c.Plaid_check.Case.seed))
+        let g = c.Plaid_check.Case.dfg in
+        keyed { Plaid_core.Fabrics.arch; pcu } ~arch_fp:(Fingerprint.arch arch)
+          ~dfg_fp:(Fingerprint.dfg g) ~seed:c.Plaid_check.Case.seed (fun () -> g)))
   | Stats | Metrics | Health | Evict _ | Quit -> Error "not a compile request"
 
 let deadline_of = function

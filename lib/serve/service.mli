@@ -53,11 +53,21 @@
 type t
 
 val create : ?pool:Plaid_util.Pool.t -> ?slow_ms:float -> cache:Cache.t -> unit -> t
-(** Builds every registry fabric eagerly (so pool tasks never race a lazy) and
-    keeps [pool] for {!run_batch}.  [slow_ms] (default 1000) is the
-    slow-request log threshold. *)
+(** Builds every registry fabric eagerly (so pool tasks never race a lazy)
+    and takes each one's {!Fingerprint.arch} digest in the same pass: the
+    fabrics never change afterwards, so no request digests a registry
+    fabric again.  A suite kernel's {!Fingerprint.dfg} digest is taken on
+    the first [map] that names it and kept for the service's lifetime, so
+    a repeated [map] neither lowers nor digests; the kernel is lowered only
+    when the mapper runs.  Keys equal {!Fingerprint.key} of the same
+    request byte for byte.  [pool] is kept for {!run_batch}.  [slow_ms]
+    (default 1000) is the slow-request log threshold. *)
 
 val cache : t -> Cache.t
+
+val memoized_kernels : t -> int
+(** How many suite kernels' DFG digests the service holds: one per distinct
+    known kernel a [map] has named, so never more than the suite. *)
 
 type request =
   | Map of { kernel : string; arch : string; seed : int; deadline_ms : int option }

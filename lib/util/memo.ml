@@ -13,3 +13,5 @@ let find_or_add t key f =
         | None ->
           Hashtbl.replace t.tbl key v;
           v)
+
+let length t = Mutex.protect t.lock (fun () -> Hashtbl.length t.tbl)

@@ -12,3 +12,6 @@ val create : int -> ('k, 'v) t
 
 val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 (** The stored value for the key, else [f ()], stored. *)
+
+val length : ('k, 'v) t -> int
+(** The number of stored keys. *)

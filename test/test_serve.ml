@@ -107,6 +107,67 @@ let qc_fingerprint_salts =
       k <> F.key ~dfg:c.dfg ~arch ~mapper:"b" ~seed:7
       && k <> F.key ~dfg:c.dfg ~arch ~mapper:"a" ~seed:8)
 
+(* Arch.fingerprint_lines as it was first written, one Printf.ksprintf per
+   line: the oracle for the buffer-writing implementation, since every
+   stored cache key depends on these exact bytes. *)
+let ksprintf_fingerprint_lines (t : Plaid_arch.Arch.t) =
+  let open Plaid_arch.Arch in
+  let lines = ref [] in
+  let pf fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
+  pf "arch %s" t.name;
+  pf "config %d %d %d %c" t.config.compute_bits t.config.comm_bits t.config.entries
+    (if t.config.clock_gated then 'g' else '-');
+  pf "routethrough %c" (if t.allow_fu_routethrough then 'y' else 'n');
+  Array.iter
+    (fun r ->
+      let kind =
+        match r.kind with
+        | Port -> "port"
+        | Reg -> "reg"
+        | Fu f ->
+          Printf.sprintf "fu[%s]%s"
+            (String.concat "," (List.map Plaid_ir.Op.to_string f.fu_ops))
+            (if f.fu_memory then "+mem" else "")
+      in
+      pf "res %d %s %s (%d,%d) %s" r.id r.rname kind (fst r.tile) (snd r.tile)
+        r.area_class)
+    t.resources;
+  Array.iter (fun l -> pf "link %d %d %d" l.lsrc l.ldst l.latency) t.links;
+  List.iter (fun f -> pf "fault %s" f)
+    (List.sort compare (List.map (fault_to_string t) t.faults));
+  List.rev !lines
+
+(* A fabric with up to [n] random fabric faults, plus a faulty SPM bank on
+   odd draws (Arch_gen never draws one). *)
+let with_random_faults arch ~seed ~n =
+  let rng = Plaid_util.Rng.create seed in
+  let faults = Plaid_check.Arch_gen.sample_faults arch ~rng ~n in
+  let spm = if seed land 1 = 1 then [ Plaid_arch.Arch.Faulty_spm "spm_0" ] else [] in
+  Plaid_arch.Arch.set_faults arch (faults @ spm)
+
+let qc_fingerprint_lines_oracle =
+  QCheck.Test.make ~count:60 ~name:"fingerprint lines and text equal the ksprintf formatting"
+    QCheck.(pair (int_bound 100_000) (int_bound 6))
+    (fun (seed, n) ->
+      let spec = Plaid_check.Arch_gen.sample ~rng:(Plaid_util.Rng.create seed) in
+      let arch = with_random_faults (fst (Plaid_check.Arch_gen.build spec)) ~seed ~n in
+      let oracle = ksprintf_fingerprint_lines arch in
+      Plaid_arch.Arch.fingerprint_lines arch = oracle
+      && Plaid_arch.Arch.fingerprint_text arch = String.concat "\n" oracle)
+
+let test_fingerprint_lines_registry () =
+  List.iter
+    (fun (f : Plaid_core.Fabrics.named) ->
+      let arch = (f.build ()).Plaid_core.Fabrics.arch in
+      List.iter
+        (fun a ->
+          let oracle = ksprintf_fingerprint_lines a in
+          if Plaid_arch.Arch.fingerprint_lines a <> oracle
+             || Plaid_arch.Arch.fingerprint_text a <> String.concat "\n" oracle
+          then Alcotest.failf "%s: fingerprint lines differ from the ksprintf formatting" f.short)
+        [ arch; with_random_faults arch ~seed:3 ~n:4 ])
+    Plaid_core.Fabrics.registry
+
 (* ------------------------------------------------------------------ store *)
 
 let test_store_roundtrip () =
@@ -325,6 +386,80 @@ let test_service_errors () =
   | Service.Failure _ -> ()
   | Service.Payload _ -> Alcotest.fail "unreadable case file must fail"
 
+(* A map naming an unknown kernel, an unknown fabric, or both fails with
+   the kernel checked first, before any key exists: no cache lookup and
+   no kernel digest memoized. *)
+let test_service_map_error_order () =
+  let _, svc = dir_service () in
+  let unknown_arch =
+    "unknown architecture warp (choose from st, st6, stml, plaid, plaid3, plaidml)"
+  in
+  List.iter
+    (fun (kernel, arch, want) ->
+      match Service.handle svc (map_req ~arch kernel) with
+      | Service.Failure msg when msg = want -> ()
+      | Service.Failure msg -> Alcotest.failf "%s on %s: got %S, want %S" kernel arch msg want
+      | Service.Payload _ -> Alcotest.failf "%s on %s must fail" kernel arch)
+    [ ("nosuch", "plaid", "unknown kernel nosuch");
+      ("dwconv", "warp", unknown_arch);
+      ("nosuch", "warp", "unknown kernel nosuch") ];
+  check "no kernel digest memoized" (Service.memoized_kernels svc = 0) true;
+  let s = Cache.stats (Service.cache svc) in
+  check "no cache lookup" (s.Cache.hit_mem + s.Cache.hit_disk + s.Cache.miss = 0) true
+
+(* The key a map request stores under is Fingerprint.key of the request's
+   lowered kernel and fabric, byte for byte: a store filled directly under
+   those keys (as every earlier build filled it) answers every map from
+   disk, without a compute, and the kernel memo holds one digest per
+   kernel named. *)
+let test_service_keys_match_fingerprint_key () =
+  let kernels = [ "fc"; "dwconv"; "jacobi"; "gemm_u2" ] and seeds = [ 2025; 7 ] in
+  let requests =
+    List.concat_map
+      (fun (f : Plaid_core.Fabrics.named) ->
+        let b = f.build () in
+        List.concat_map
+          (fun kernel ->
+            let dfg = Plaid_workloads.Suite.dfg (Plaid_workloads.Suite.find kernel) in
+            List.map
+              (fun seed ->
+                let key =
+                  F.key ~dfg ~arch:b.Plaid_core.Fabrics.arch
+                    ~mapper:(Plaid_core.Fabrics.mapper_id b) ~seed
+                in
+                (map_req ~seed ~arch:f.short kernel,
+                 key,
+                 Printf.sprintf "blob for %s on %s, seed %d" kernel f.short seed))
+              seeds)
+          kernels)
+      Plaid_core.Fabrics.registry
+  in
+  let dir = temp_dir () in
+  let filler = Cache.create ~dir () in
+  List.iter (fun (_, key, blob) -> Cache.put filler ~key blob) requests;
+  let svc = Service.create ~cache:(Cache.create ~dir ()) () in
+  List.iter
+    (fun (req, _, blob) ->
+      match Service.handle svc req with
+      | Service.Payload { payload; source = Some Cache.Disk } when payload = blob -> ()
+      | Service.Payload { payload; _ } ->
+        Alcotest.failf "expected %S from disk, got %S (or another tier)" blob payload
+      | Service.Failure msg -> Alcotest.failf "request failed: %s" msg)
+    requests;
+  let s = Cache.stats (Service.cache svc) in
+  check "no compute" (s.Cache.miss = 0) true;
+  check "one digest per kernel" (Service.memoized_kernels svc = List.length kernels) true;
+  (* a computed mapping lands under the same key *)
+  let cache, svc = dir_service () in
+  let blob, source = payload_of (Service.handle svc (map_req "fc")) in
+  check "fc computes" (source = Some Cache.Computed) true;
+  let b = Option.get (Plaid_core.Fabrics.build "plaid") in
+  let key =
+    F.key ~dfg:(Plaid_workloads.Suite.dfg (Plaid_workloads.Suite.find "fc"))
+      ~arch:b.Plaid_core.Fabrics.arch ~mapper:(Plaid_core.Fabrics.mapper_id b) ~seed:2025
+  in
+  check "stored under Fingerprint.key" (Cache.find cache ~key = Some (blob, Cache.Mem)) true
+
 let test_service_parse () =
   let bad l =
     match Service.parse_request l with
@@ -421,6 +556,9 @@ let suites =
         Alcotest.test_case "key well-formed and stable" `Quick test_key_well_formed;
         Test_qc.to_alcotest qc_fingerprint_injective;
         Test_qc.to_alcotest qc_fingerprint_salts;
+        Test_qc.to_alcotest qc_fingerprint_lines_oracle;
+        Alcotest.test_case "registry fingerprint lines match the oracle" `Quick
+          test_fingerprint_lines_registry;
       ] );
     ( "serve-store",
       [
@@ -443,6 +581,10 @@ let suites =
           test_service_roundtrip_simulates;
         Alcotest.test_case "deadlines trip but still cache" `Slow test_service_deadline;
         Alcotest.test_case "request errors" `Quick test_service_errors;
+        Alcotest.test_case "map errors: kernel first, nothing keyed" `Quick
+          test_service_map_error_order;
+        Alcotest.test_case "map keys equal Fingerprint.key" `Quick
+          test_service_keys_match_fingerprint_key;
         Alcotest.test_case "protocol parsing" `Quick test_service_parse;
         Alcotest.test_case "metrics and health verbs" `Quick
           test_service_metrics_and_health_verbs;
